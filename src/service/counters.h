@@ -28,6 +28,8 @@ struct CountersSnapshot {
   u64 hash_faults_corrected = 0;
   u64 breaker_trips = 0;
   u64 breaker_recoveries = 0;
+  u64 quarantine_trips = 0;    // slots entering quarantined
+  u64 quarantine_rejoins = 0;  // slots rejoining healthy from probation
   u64 probes = 0;
   u64 batch_submissions = 0;  // submit_batch() calls
   u64 micro_batches = 0;      // worker-side batches popped (any size)
@@ -47,7 +49,9 @@ struct CountersSnapshot {
        << " | failed-attempts " << failed_attempts << " | degraded "
        << served_degraded << " | hash-faults-corrected "
        << hash_faults_corrected << " | breaker trips " << breaker_trips
-       << " / recoveries " << breaker_recoveries << " | probes " << probes
+       << " / recoveries " << breaker_recoveries << " | quarantine trips "
+       << quarantine_trips << " / rejoins " << quarantine_rejoins
+       << " | probes " << probes
        << " | batches " << batch_submissions << " / micro " << micro_batches
        << " | batched groups " << batched_micro_batches << " / lanes "
        << batched_lanes << " / fallback " << batched_fallback_lanes
@@ -71,6 +75,8 @@ class ServiceCounters {
   std::atomic<u64> hash_faults_corrected{0};
   std::atomic<u64> breaker_trips{0};
   std::atomic<u64> breaker_recoveries{0};
+  std::atomic<u64> quarantine_trips{0};
+  std::atomic<u64> quarantine_rejoins{0};
   std::atomic<u64> probes{0};
   std::atomic<u64> batch_submissions{0};
   std::atomic<u64> micro_batches{0};
@@ -97,6 +103,8 @@ class ServiceCounters {
         hash_faults_corrected.load(std::memory_order_relaxed);
     s.breaker_trips = breaker_trips.load(std::memory_order_relaxed);
     s.breaker_recoveries = breaker_recoveries.load(std::memory_order_relaxed);
+    s.quarantine_trips = quarantine_trips.load(std::memory_order_relaxed);
+    s.quarantine_rejoins = quarantine_rejoins.load(std::memory_order_relaxed);
     s.probes = probes.load(std::memory_order_relaxed);
     s.batch_submissions = batch_submissions.load(std::memory_order_relaxed);
     s.micro_batches = micro_batches.load(std::memory_order_relaxed);

@@ -78,7 +78,7 @@ KemService::KemService(ServiceConfig config)
       // LAC-only; SHA-256 is scheme-independent).
       st.use_rtl[i] = config_.slot_use_rtl[i] && st.profile->rtl_capable[i];
       // The primary scheme keeps bare slot names in reports and
-      // breaker transitions (pre-profile compatibility); the second
+      // health transitions (pre-profile compatibility); the second
       // scheme's state is labeled "<scheme>:<slot>".
       st.unit_labels[i] =
           s == 0 ? std::string(unit_name(i))
@@ -95,54 +95,51 @@ KemService::KemService(ServiceConfig config)
         s == 0 ? config_.key_seed : config_.second_key_seed);
   }
 
-  auto on_transition = [this](const char* unit, BreakerState from,
-                              BreakerState to, const std::string& detail) {
-    if (to == BreakerState::kOpen)
-      counters_.breaker_trips.fetch_add(1, std::memory_order_relaxed);
-    if (from == BreakerState::kHalfOpen && to == BreakerState::kClosed)
-      counters_.breaker_recoveries.fetch_add(1, std::memory_order_relaxed);
-    // The transition fires on whatever thread recorded the deciding
-    // failure/probe, so the thread-local trace id links it to the
-    // request that tripped (0 for prober-driven transitions).
-    obs::instant("breaker.transition", "breaker", {},
-                 {{"unit", std::string(unit)},
-                  {"from", std::string(breaker_state_name(from))},
-                  {"to", std::string(breaker_state_name(to))}});
+  // One callback reports both causes of a slot's health transitions.
+  // It fires on whatever thread recorded the deciding event, so the
+  // thread-local trace id links it to the request that tripped (0 for
+  // prober-driven transitions).
+  auto on_transition = [this](const char* slot, HealthState from,
+                              HealthState to, const std::string& detail) {
+    Status status = Status::kOk;
+    std::string line;
+    if (from.breaker != to.breaker) {
+      if (to.breaker == BreakerState::kOpen) {
+        counters_.breaker_trips.fetch_add(1, std::memory_order_relaxed);
+        status = Status::kUnavailable;
+      }
+      if (from.breaker == BreakerState::kHalfOpen &&
+          to.breaker == BreakerState::kClosed)
+        counters_.breaker_recoveries.fetch_add(1, std::memory_order_relaxed);
+      obs::instant("breaker.transition", "breaker", {},
+                   {{"unit", std::string(slot)},
+                    {"from", std::string(breaker_state_name(from.breaker))},
+                    {"to", std::string(breaker_state_name(to.breaker))}});
+      line = std::string(breaker_state_name(from.breaker)) + " -> " +
+             breaker_state_name(to.breaker) + ": " + detail;
+    } else {
+      if (to.quarantine == QuarantineState::kQuarantined) {
+        counters_.quarantine_trips.fetch_add(1, std::memory_order_relaxed);
+        status = Status::kIntegrity;
+      }
+      if (to.quarantine == QuarantineState::kHealthy)
+        counters_.quarantine_rejoins.fetch_add(1, std::memory_order_relaxed);
+      const char* from_name = quarantine_state_name(from.quarantine);
+      const char* to_name = quarantine_state_name(to.quarantine);
+      obs::instant("verify.quarantine_transition", "verify", {},
+                   {{"slot", std::string(slot)},
+                    {"from", std::string(from_name)},
+                    {"to", std::string(to_name)}});
+      line = std::string("quarantine ") + from_name + " -> " + to_name +
+             ": " + detail;
+    }
     std::lock_guard<std::mutex> lock(report_mutex_);
-    report_.add(unit,
-                to == BreakerState::kOpen ? Status::kUnavailable : Status::kOk,
-                std::string(breaker_state_name(from)) + " -> " +
-                    breaker_state_name(to) + ": " + detail);
+    report_.add(slot, status, line);
   };
   for (auto& st : schemes_)
     for (std::size_t i = 0; i < kNumUnits; ++i)
-      st->breakers[i].configure(st->unit_labels[i].c_str(), config_.breaker,
-                                on_transition);
-
-  auto on_quarantine = [this](const char* slot, verify::QuarantineState from,
-                              verify::QuarantineState to,
-                              const std::string& detail) {
-    if (to == verify::QuarantineState::kQuarantined)
-      quarantine_trips_.fetch_add(1, std::memory_order_relaxed);
-    if (to == verify::QuarantineState::kHealthy)
-      quarantine_rejoins_.fetch_add(1, std::memory_order_relaxed);
-    obs::instant("verify.quarantine_transition", "verify", {},
-                 {{"slot", std::string(slot)},
-                  {"from", std::string(verify::quarantine_state_name(from))},
-                  {"to", std::string(verify::quarantine_state_name(to))}});
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    report_.add(slot,
-                to == verify::QuarantineState::kQuarantined
-                    ? Status::kIntegrity
-                    : Status::kOk,
-                std::string("quarantine ") +
-                    verify::quarantine_state_name(from) + " -> " +
-                    verify::quarantine_state_name(to) + ": " + detail);
-  };
-  for (auto& st : schemes_)
-    for (std::size_t i = 0; i < kNumUnits; ++i)
-      st->quarantines[i].configure(st->unit_labels[i].c_str(),
-                                   config_.verify.quarantine, on_quarantine);
+      st->health[i].configure(st->unit_labels[i].c_str(),
+                              config_.verify.quarantine, on_transition);
 
   const std::size_t workers = std::max<std::size_t>(1, config_.workers);
   rigs_.reserve(workers);
@@ -181,81 +178,45 @@ void KemService::build_rig(Rig& rig) {
 
   for (std::size_t s = 0; s < schemes_.size(); ++s) {
     SchemeState& st = *schemes_[s];
-    // Breaker-switched callables: each consults its scheme × slot
-    // breaker at call time, so an open breaker reroutes every worker's
-    // very next operation — no backend rebuild, no lock on the hot path
-    // beyond the breaker's own. They are installed (not injected) into
-    // the rig's registry profile: a callable that changes behaviour at
-    // runtime by design cannot be gated behind a one-shot construction
-    // KAT; the breakers + health probes own its validation instead.
     auto registry =
         std::make_shared<lac::KernelRegistry>(registry_for(*st.params));
 
-    // A slot whose scheme config pins it to software (or whose profile
-    // has no RTL datapath for it) keeps the registry's modeled callable
-    // — no breaker switching, no usage flags (config choice, not
-    // degradation).
-    if (st.use_rtl[kMulIdx]) {
-      const poly::MulTer512 rtl_mul = perf::rtl_mul_ter(rig.mul);
-      const poly::MulTer512 sw_mul = lac::modeled_mul_ter();
-      registry->mul_ter().install(
-          [this, &rig, s, rtl_mul, sw_mul](const poly::Ternary& a,
-                                           const poly::Coeffs& coeffs,
-                                           bool negacyclic,
-                                           CycleLedger* ledger) {
-            if (unit_allowed(s, kMulIdx)) {
-              rig.rtl_used[kMulIdx] = true;
-              return rtl_mul(a, coeffs, negacyclic, ledger);
-            }
-            rig.fallback_used[kMulIdx] = true;
-            return sw_mul(a, coeffs, negacyclic, ledger);
-          });
-    }
-
-    if (st.use_rtl[kChienIdx]) {
-      const bch::ChienStage rtl_chien = perf::rtl_chien(rig.chien);
-      const bch::ChienStage sw_chien = lac::modeled_chien();
-      registry->chien().install(
-          [this, &rig, s, rtl_chien, sw_chien](const bch::CodeSpec& spec,
-                                               const bch::Locator& loc,
-                                               CycleLedger* ledger) {
-            if (unit_allowed(s, kChienIdx)) {
-              rig.rtl_used[kChienIdx] = true;
-              return rtl_chien(spec, loc, ledger);
-            }
-            rig.fallback_used[kChienIdx] = true;
-            return sw_chien(spec, loc, ledger);
-          });
-    }
-
-    if (st.use_rtl[kShaIdx]) {
-      const hash::HashFn rtl_sha = perf::rtl_sha256(rig.sha);
-      registry->sha256().install([this, &rig, s, rtl_sha](ByteView data) {
-        if (unit_allowed(s, kShaIdx)) {
-          rig.rtl_used[kShaIdx] = true;
-          return rtl_sha(data);
+    // Health-switched callable for slot i: it consults the scheme × slot
+    // health at call time, so a tripped slot reroutes every worker's
+    // very next operation — no backend rebuild, no lock on the hot path
+    // beyond the slot health's own. It is installed (not injected) into
+    // the rig's registry profile: a callable that changes behaviour at
+    // runtime by design cannot be gated behind a one-shot construction
+    // KAT; the slot health + health probes own its validation instead.
+    // One allow() answers for both trip causes.
+    auto switched = [&rig, &st](std::size_t i, auto rtl, auto sw) {
+      return [&rig, &health = st.health[i], i, rtl, sw](auto&&... args) {
+        if (health.allow()) {
+          rig.rtl_used[i] = true;
+          return rtl(args...);
         }
-        rig.fallback_used[kShaIdx] = true;
-        return hash::sha256(data);
-      });
-    }
-
-    // use_rtl already folds in the BarrettRtl datapath's q = 251
-    // constraint (the same posture inject_modq's modulus validation
-    // enforces).
-    if (st.use_rtl[kModqIdx]) {
-      const poly::ModqFn rtl_modq = perf::rtl_modq(rig.barrett);
-      const poly::ModqFn sw_modq = lac::modeled_modq();
-      registry->modq().install(
-          [this, &rig, s, rtl_modq, sw_modq](u32 x, CycleLedger* ledger) {
-            if (unit_allowed(s, kModqIdx)) {
-              rig.rtl_used[kModqIdx] = true;
-              return rtl_modq(x, ledger);
-            }
-            rig.fallback_used[kModqIdx] = true;
-            return sw_modq(x, ledger);
-          });
-    }
+        rig.fallback_used[i] = true;
+        return sw(args...);
+      };
+    };
+    // A slot whose scheme config pins it to software (or whose profile
+    // has no RTL datapath for it — use_rtl also folds in the BarrettRtl
+    // datapath's q = 251 constraint) keeps the registry's modeled
+    // callable: no health switching, no usage flags (config choice, not
+    // degradation).
+    if (st.use_rtl[kMulIdx])
+      registry->mul_ter().install(switched(
+          kMulIdx, perf::rtl_mul_ter(rig.mul), lac::modeled_mul_ter()));
+    if (st.use_rtl[kChienIdx])
+      registry->chien().install(switched(
+          kChienIdx, perf::rtl_chien(rig.chien), lac::modeled_chien()));
+    if (st.use_rtl[kShaIdx])
+      registry->sha256().install(
+          switched(kShaIdx, perf::rtl_sha256(rig.sha),
+                   [](ByteView data) { return hash::sha256(data); }));
+    if (st.use_rtl[kModqIdx])
+      registry->modq().install(switched(
+          kModqIdx, perf::rtl_modq(rig.barrett), lac::modeled_modq()));
 
     lac::Backend b = lac::Backend::optimized_from(std::move(registry));
     b.name = "service";
@@ -275,8 +236,8 @@ void KemService::build_rig(Rig& rig) {
     }
   }
 
-  // Per-slot KAT re-runs against this rig's own units, indexed like
-  // breakers_ (barrett keyed under the modq slot).
+  // Per-slot KAT re-runs against this rig's own units, indexed like a
+  // scheme's health (barrett keyed under the modq slot).
   rig.unit_selftest = {
       [&rig](std::string* d) { return fault::selftest_mul_ter(*rig.mul, d); },
       [&rig](std::string* d) { return fault::selftest_chien(*rig.chien, d); },
@@ -624,7 +585,7 @@ void KemService::run_batched_group(std::vector<Task>& group, Rig& rig,
 
     if (response.hash_fault_detected) {
       counters_.hash_faults_corrected.fetch_add(1, std::memory_order_relaxed);
-      st.breakers[kShaIdx].record_failure("runtime hash cross-check mismatch");
+      st.health[kShaIdx].record_failure("runtime hash cross-check mismatch");
     }
     if (retryable(response.status)) {
       // Fault-indicating batched outcome: attribute, then hand the lane
@@ -728,7 +689,7 @@ void KemService::process_admitted(Task task, Rig& rig) {
     }
     if (response.hash_fault_detected) {
       counters_.hash_faults_corrected.fetch_add(1, std::memory_order_relaxed);
-      schemes_[s]->breakers[kShaIdx].record_failure(
+      schemes_[s]->health[kShaIdx].record_failure(
           "runtime hash cross-check mismatch");
     }
 
@@ -802,7 +763,7 @@ void KemService::maybe_shadow_verify(const Task& task, Rig& rig,
   for (std::size_t i = 0; i < kNumUnits; ++i)
     if (rig.rtl_used[i])
       override_rate = std::max(
-          override_rate, st.quarantines[i].sample_override_per_mille());
+          override_rate, st.health[i].sample_override_per_mille());
   if (!verifier_.should_verify(task.id, override_rate)) return;
 
   obs::TraceSpan span("verify.shadow", "verify");
@@ -822,7 +783,7 @@ void KemService::maybe_shadow_verify(const Task& task, Rig& rig,
 
   if (!shadow.diverged) {
     for (std::size_t i = 0; i < kNumUnits; ++i)
-      if (rig.rtl_used[i]) st.quarantines[i].record_clean_verify();
+      if (rig.rtl_used[i]) st.health[i].record_clean_verify();
     return;
   }
   span.arg("diverged", u64{1});
@@ -847,15 +808,15 @@ void KemService::maybe_shadow_verify(const Task& task, Rig& rig,
     if (!rig.rtl_used[i]) continue;
     if (rig.unit_selftest[i](&kat_detail)) continue;
     attributed = true;
-    st.breakers[i].record_failure(kat_detail + " after verified divergence");
-    st.quarantines[i].record_mismatch("KAT-attributed divergence: " +
-                                      shadow.detail);
+    st.health[i].record_attributed_mismatch(
+        kat_detail + " after verified divergence",
+        "KAT-attributed divergence: " + shadow.detail);
   }
   if (!attributed) {
     for (std::size_t i = 0; i < kNumUnits; ++i)
       if (rig.rtl_used[i])
-        st.quarantines[i].record_mismatch("unattributed divergence (" +
-                                          shadow.detail + ")");
+        st.health[i].record_mismatch("unattributed divergence (" +
+                                     shadow.detail + ")");
   }
 
   verify::DivergenceRecord rec;
@@ -905,12 +866,13 @@ void KemService::attribute_failure(Rig& rig, std::size_t s, Status status) {
   const std::string why = std::string("after ") + status_name(status);
   std::string detail;
   for (std::size_t i = 0; i < kNumUnits; ++i) {
-    // A secondary scheme only attributes to the slots its profile serves
-    // via RTL (the primary keeps the pre-profile all-slots sweep).
-    if (s > 0 && !st.use_rtl[i]) continue;
-    if (!st.breakers[i].allow()) continue;
+    // Only slots served via RTL have hardware to blame, and an open
+    // breaker has nothing left to learn from another failing KAT.
+    if (!st.use_rtl[i] ||
+        st.health[i].state().breaker == BreakerState::kOpen)
+      continue;
     if (!rig.unit_selftest[i](&detail))
-      st.breakers[i].record_failure(detail + " " + why);
+      st.health[i].record_failure(detail + " " + why);
   }
 }
 
@@ -922,7 +884,7 @@ void KemService::record_successes(const Rig& rig, std::size_t s,
     // A corrected digest is not a sha256 success even though the op
     // completed — the failure was already recorded.
     if (i == kShaIdx && hash_fault) continue;
-    st.breakers[i].record_success();
+    st.health[i].record_success();
   }
 }
 
@@ -952,24 +914,16 @@ bool KemService::probe_now() {
   bool all_passed = true;
   std::string detail;
   for (std::size_t i = 0; i < kNumUnits; ++i) {
-    // One physical KAT per slot; its verdict feeds every scheme's
-    // breaker/quarantine pair for that slot. The primary scheme tracks
-    // all slots (pre-profile behaviour); a secondary scheme only the
-    // slots it serves via RTL — its software-pinned slots have no
-    // hardware to recover.
+    // One physical KAT per slot; its verdict feeds the slot's health in
+    // every scheme that serves the slot via RTL — a software-pinned slot
+    // has no hardware to trip or recover.
     const bool passed = prober_rig_->unit_selftest[i](&detail);
-    for (std::size_t s = 0; s < schemes_.size(); ++s) {
-      SchemeState& st = *schemes_[s];
-      if (s > 0 && !st.use_rtl[i]) continue;
-      if (passed) {
-        st.breakers[i].probe_passed();
-        // A passing KAT also walks a quarantined slot toward probation —
-        // rejoin itself still requires clean *traffic* verification.
-        st.quarantines[i].probe_passed();
-      } else {
-        st.breakers[i].probe_failed(detail);
-        st.quarantines[i].probe_failed(detail);
-      }
+    for (auto& st : schemes_) {
+      if (!st->use_rtl[i]) continue;
+      if (passed)
+        st->health[i].probe_passed();
+      else
+        st->health[i].probe_failed(detail);
     }
     if (!passed) all_passed = false;
   }
@@ -1122,10 +1076,10 @@ void KemService::register_metrics(obs::MetricsRegistry& registry) {
        &verifier_.integrity_responses()},
       {"lacrv_verify_quarantine_trips_total",
        "Slot transitions into quarantined (verified mismatch)",
-       &quarantine_trips_},
+       &counters_.quarantine_trips},
       {"lacrv_verify_rejoins_total",
        "Slots rejoining healthy after a clean probation",
-       &quarantine_rejoins_},
+       &counters_.quarantine_rejoins},
   };
   for (const auto& c : kCounters)
     registry.add_counter(c.name, c.help, c.value);
@@ -1133,7 +1087,8 @@ void KemService::register_metrics(obs::MetricsRegistry& registry) {
   registry.add_gauge("lacrv_service_queue_depth",
                      "Requests waiting in the submission queue",
                      [this] { return static_cast<double>(queue_.depth()); });
-  // Breaker/quarantine gauges are per scheme × slot. The primary
+  // Both views of the slot health — the breaker-state and slot-state
+  // gauges — are per scheme × slot. The primary
   // scheme keeps the pre-profile label set (bare unit="...") so existing
   // scrapes and the trace_check assertions are unchanged; secondary
   // schemes add a scheme="..." label.
@@ -1148,7 +1103,7 @@ void KemService::register_metrics(obs::MetricsRegistry& registry) {
           "Per-unit breaker state (0 closed, 1 open, 2 half-open)",
           [st, i] {
             return static_cast<double>(
-                static_cast<int>(st->breakers[i].state()));
+                static_cast<int>(st->health[i].state().breaker));
           },
           std::string("unit=\"") + unit_name(i) + "\"" + scheme_label);
     }
@@ -1159,7 +1114,7 @@ void KemService::register_metrics(obs::MetricsRegistry& registry) {
           "2 probation-full, 3 probation-ramp)",
           [st, i] {
             return static_cast<double>(
-                static_cast<int>(st->quarantines[i].state()));
+                static_cast<int>(st->health[i].state().quarantine));
           },
           std::string("unit=\"") + unit_name(i) + "\"" + scheme_label);
     }
@@ -1186,13 +1141,14 @@ DegradeReport KemService::degrade_report() const {
   return report_;
 }
 
-verify::QuarantineState KemService::quarantine_state(lac::Slot slot,
-                                                     u32 key_id) const {
+QuarantineState KemService::quarantine_state(lac::Slot slot,
+                                             u32 key_id) const {
   const std::size_t s = scheme_index(key_id);
-  if (s == kBadScheme) return verify::QuarantineState::kHealthy;
+  if (s == kBadScheme) return QuarantineState::kHealthy;
   for (std::size_t i = 0; i < kNumUnits; ++i)
-    if (lac::kAllSlots[i] == slot) return schemes_[s]->quarantines[i].state();
-  return verify::QuarantineState::kHealthy;
+    if (lac::kAllSlots[i] == slot)
+      return schemes_[s]->health[i].state().quarantine;
+  return QuarantineState::kHealthy;
 }
 
 BreakerState KemService::breaker_state(fault::Unit unit, u32 key_id) const {
@@ -1200,10 +1156,10 @@ BreakerState KemService::breaker_state(fault::Unit unit, u32 key_id) const {
   if (s == kBadScheme) return BreakerState::kClosed;
   const SchemeState& st = *schemes_[s];
   switch (unit) {
-    case fault::Unit::kMulTer: return st.breakers[kMulIdx].state();
-    case fault::Unit::kChien: return st.breakers[kChienIdx].state();
-    case fault::Unit::kSha256: return st.breakers[kShaIdx].state();
-    case fault::Unit::kBarrett: return st.breakers[kModqIdx].state();
+    case fault::Unit::kMulTer: return st.health[kMulIdx].state().breaker;
+    case fault::Unit::kChien: return st.health[kChienIdx].state().breaker;
+    case fault::Unit::kSha256: return st.health[kShaIdx].state().breaker;
+    case fault::Unit::kBarrett: return st.health[kModqIdx].state().breaker;
     default: return BreakerState::kClosed;
   }
 }

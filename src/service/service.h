@@ -10,8 +10,10 @@
 // a fault-indicating Status are retried under RetryPolicy (capped
 // exponential backoff, deterministic jitter); each failed attempt is
 // *attributed* by re-running the per-unit self-test KATs on the
-// worker's own accelerator units, and attributed failures feed per-unit
-// circuit breakers. A tripped breaker atomically reroutes that unit's
+// worker's own accelerator units, and attributed failures feed the
+// per-slot health machine's circuit breaker (service/health.h), whose
+// second cause is a shadow-verified mismatch. A tripped breaker
+// atomically reroutes that unit's
 // traffic — on every worker — to the modeled software fallback (the
 // construction-time degradation ladder of docs/robustness.md, applied
 // at runtime and reversible); a background health prober re-runs the
@@ -21,7 +23,7 @@
 //
 // Threading model: each worker owns a private set of RTL units (one
 // "physical PQ-ALU" per hardware thread), so units never race; the only
-// cross-thread state is the breakers (mutex), the queue (mutex), the
+// cross-thread state is the slot health (mutex), the queue (mutex), the
 // counters (atomics) and the fault-hook slots (atomic pointers — see
 // rtl::FaultHookSlot), which is what lets a fault campaign arm and
 // clear plans against a *live* service.
@@ -38,8 +40,8 @@
 #include "lac/context.h"
 #include "lac/kem.h"
 #include "scheme/profile.h"
-#include "service/breaker.h"
 #include "service/counters.h"
+#include "service/health.h"
 #include "service/queue.h"
 #include "service/retry.h"
 #include "verify/verifier.h"
@@ -110,7 +112,6 @@ struct ServiceConfig {
   std::size_t workers = 4;
   std::size_t queue_capacity = 128;
   RetryPolicy retry;
-  BreakerPolicy breaker;
   /// Spawn the background health prober (tests that drive probes
   /// manually via probe_now() turn this off for determinism).
   bool enable_prober = true;
@@ -123,7 +124,7 @@ struct ServiceConfig {
   /// Serve a second scheme's parameter set under wire key id 1 (null:
   /// single-scheme service, the pre-SchemeProfile behaviour). Point at
   /// scheme::lwr::lwr512() to serve the LWR KEM concurrently with LAC:
-  /// one worker pool, one queue, per-scheme rigs/breakers/quarantines.
+  /// one worker pool, one queue, per-scheme rigs and slot health.
   const lac::Params* second_params = nullptr;
   /// Seed for the second scheme's keypair.
   hash::Seed second_key_seed{};
@@ -147,9 +148,10 @@ struct ServiceConfig {
   std::size_t context_cache_capacity = 8;
   /// Per-slot implementation mix, indexed like lac::kAllSlots
   /// (mul_ter, chien, sha256, modq): true serves the slot from the
-  /// worker's RTL unit behind its breaker, false pins it to the modeled
-  /// software implementation outright (no breaker switching — the slot
-  /// keeps the registry's modeled callable). Parse "mul_ter=rtl,..."
+  /// worker's RTL unit behind its slot health, false pins it to the
+  /// modeled software implementation outright (no health switching, and
+  /// the slot health is never fed — the slot keeps the registry's
+  /// modeled callable). Parse "mul_ter=rtl,..."
   /// specs with lac::parse_slot_mix; note a spec defaults unlisted slots
   /// to software, while this default is all-RTL.
   std::array<bool, lac::kNumSlots> slot_use_rtl = {true, true, true, true};
@@ -209,7 +211,7 @@ class KemService {
   void clear_faults();
 
   /// One synchronous health-probe pass: re-run the per-unit self-test
-  /// KATs on the prober's units and feed the breakers. Returns true iff
+  /// KATs on the prober's units and feed the slot health. Returns true iff
   /// every KAT passed. The background prober calls exactly this.
   bool probe_now();
 
@@ -268,8 +270,8 @@ class KemService {
   /// expose() calls).
   void register_metrics(obs::MetricsRegistry& registry);
   const ServiceCounters& raw_counters() const { return counters_; }
-  /// Copy of the service-level transition log (breaker trips and
-  /// recoveries).
+  /// Copy of the service-level transition log (breaker and quarantine
+  /// transitions).
   DegradeReport degrade_report() const;
   /// Breaker state for one of the four accelerator units (kMulTer,
   /// kChien, kSha256, kBarrett — the campaign name of the modq slot);
@@ -282,17 +284,16 @@ class KemService {
   const verify::ShadowVerifier& verifier() const { return verifier_; }
   /// Quarantine state of one registry slot, keyed scheme × slot like
   /// the breakers.
-  verify::QuarantineState quarantine_state(lac::Slot slot,
-                                           u32 key_id = 0) const;
+  QuarantineState quarantine_state(lac::Slot slot, u32 key_id = 0) const;
   /// Copy of the retained divergence records.
   std::vector<verify::DivergenceRecord> divergences() const {
     return verifier_.divergences();
   }
 
  private:
-  // Breaker indices mirror the registry slot order (lac::kAllSlots), so
-  // a scheme's breakers[i] is the breaker of slot lac::kAllSlots[i] and
-  // metric labels come from lac::slot_name.
+  // Slot indices mirror the registry slot order (lac::kAllSlots), so
+  // a scheme's health[i] belongs to slot lac::kAllSlots[i] and metric
+  // labels come from lac::slot_name.
   static constexpr std::size_t kMulIdx = 0;
   static constexpr std::size_t kChienIdx = 1;
   static constexpr std::size_t kShaIdx = 2;
@@ -303,7 +304,7 @@ class KemService {
 
   /// Everything the service holds per served scheme, indexed by wire
   /// key id: the parameter set, the keypair, and the resilience state.
-  /// Breakers and quarantines are keyed scheme × slot — the physical
+  /// Slot health is keyed scheme × slot — the physical
   /// units are shared per worker, but which slot a scheme trusts (and
   /// how its traffic degrades) is scheme-local state.
   struct SchemeState {
@@ -314,8 +315,7 @@ class KemService {
     /// q = 251 constraint): may slot i's RTL path ever serve this
     /// scheme? False keeps the registry's modeled callable outright.
     std::array<bool, kNumUnits> use_rtl{};
-    std::array<CircuitBreaker, kNumUnits> breakers;
-    std::array<verify::SlotQuarantine, kNumUnits> quarantines;
+    std::array<SlotHealth, kNumUnits> health;
     /// Scheme-qualified unit labels for reports and transitions (the
     /// primary scheme keeps the bare slot names for compatibility).
     std::array<std::string, kNumUnits> unit_labels;
@@ -338,7 +338,7 @@ class KemService {
     std::array<bool, kNumUnits> rtl_used{};
     std::array<bool, kNumUnits> fallback_used{};
     /// Per-slot KAT re-run against this rig's own units, indexed like a
-    /// scheme's breakers (the one loop body attribute_failure /
+    /// scheme's health (the one loop body attribute_failure /
     /// probe_now iterate instead of per-unit copies).
     std::array<std::function<bool(std::string*)>, kNumUnits> unit_selftest;
     struct SchemeRig {
@@ -412,16 +412,9 @@ class KemService {
   void run_batched_group(std::vector<Task>& group, Rig& rig,
                          std::vector<Task>& scalar, std::size_t s);
   /// Run per-unit KATs on the rig after a fault-indicating status and
-  /// feed attributed failures to scheme s's breakers.
+  /// feed attributed failures to scheme s's slot health.
   void attribute_failure(Rig& rig, std::size_t s, Status status);
   void record_successes(const Rig& rig, std::size_t s, bool hash_fault);
-  /// May slot i's hardware path serve scheme s? The scheme's breaker
-  /// (attributed KAT failures) and quarantine (verified output
-  /// corruption) both get a veto.
-  bool unit_allowed(std::size_t s, std::size_t i) const {
-    return schemes_[s]->breakers[i].allow() &&
-           schemes_[s]->quarantines[i].allow();
-  }
   /// Post-execution shadow verification: sample, re-execute on the
   /// rig's golden backend, compare, quarantine + correct/refuse on
   /// divergence. Mutates `response` per VerifyConfig policy.
@@ -443,8 +436,6 @@ class KemService {
   /// heap-anchored and never move after construction.
   std::vector<std::unique_ptr<SchemeState>> schemes_;
   verify::ShadowVerifier verifier_;
-  std::atomic<u64> quarantine_trips_{0};
-  std::atomic<u64> quarantine_rejoins_{0};
   mutable std::mutex report_mutex_;
   DegradeReport report_;
 

@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "lac/context.h"
-#include "verify/quarantine.h"
+#include "service/health.h"
 
 namespace lacrv::verify {
 
@@ -60,7 +60,9 @@ struct VerifyConfig {
   std::size_t max_divergence_records = 64;
   /// Salt for the deterministic request-id sampler.
   u64 sample_salt = 0x5eed5a170c0ffee1ull;
-  QuarantinePolicy quarantine;
+  /// Quarantine walk lengths for the service's per-slot health machine
+  /// (service/health.h is a leaf header: no link dependency).
+  service::HealthPolicy quarantine;
 };
 
 /// Forensic record of one verified divergence.

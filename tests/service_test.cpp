@@ -366,6 +366,37 @@ TEST(KemServiceTest, HalfOpenRacingANewFaultReopensTheBreaker) {
   EXPECT_TRUE(saw_half_open_failure);
 }
 
+TEST(KemServiceTest, SoftwarePinnedSlotNeverTripsItsBreaker) {
+  // mul_ter pinned to software: the faulted multiplier unit is never in
+  // the serving path, so neither failing probes nor attributed request
+  // failures may trip the slot or log a degradation.
+  fault::FaultPlan plan;
+  plan.add({fault::Unit::kMulTer, rtl::FaultKind::kStuckAtOne, 0, 5, 3});
+
+  ManualClock clock;
+  ServiceConfig cfg = manual_config(clock);
+  cfg.slot_use_rtl[0] = false;  // lac::kAllSlots[0] == mul_ter
+  cfg.retry.max_attempts = 3;
+  KemService svc(cfg);
+  svc.arm_faults(plan);
+
+  for (int i = 0; i < 3; ++i) svc.probe_now();
+  (void)svc.submit_job([](lac::Backend&) { return rejected_response(); })
+      .get();
+
+  EXPECT_EQ(svc.breaker_state(fault::Unit::kMulTer), BreakerState::kClosed);
+  EXPECT_EQ(svc.counters().breaker_trips, 0u);
+  EXPECT_TRUE(svc.degrade_report().entries.empty());
+
+  KemResponse enc =
+      svc.submit({OpKind::kEncaps, seed_from(13), {}, kNoDeadline}).get();
+  ASSERT_EQ(enc.status, Status::kOk);
+  EXPECT_FALSE(enc.served_by_fallback);
+  EXPECT_EQ(lac::decapsulate(svc.params(), lac::Backend::optimized(),
+                             svc.keys(), enc.encaps.ct),
+            enc.encaps.key);
+}
+
 TEST(KemServiceTest, StopShedsQueuedWorkWithTypedStatus) {
   ManualClock clock;
   ServiceConfig cfg = manual_config(clock);
@@ -673,7 +704,7 @@ TEST(KemServiceTest, TwoSchemesShareOneServiceWithScopedState) {
   EXPECT_EQ(svc.breaker_state(fault::Unit::kSha256, 0), BreakerState::kClosed);
   EXPECT_EQ(svc.breaker_state(fault::Unit::kSha256, 1), BreakerState::kClosed);
   EXPECT_EQ(svc.quarantine_state(lac::Slot::kSha256, 1),
-            verify::QuarantineState::kHealthy);
+            QuarantineState::kHealthy);
   EXPECT_EQ(svc.breaker_state(fault::Unit::kSha256, 9), BreakerState::kClosed);
 
   // Metrics: scheme 0 keeps the exact pre-profile label shape; the

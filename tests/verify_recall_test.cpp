@@ -36,8 +36,8 @@
 #include "fault/plan.h"
 #include "lac/backend.h"
 #include "lac/kem.h"
+#include "service/health.h"
 #include "service/service.h"
-#include "verify/quarantine.h"
 
 namespace lacrv::service {
 namespace {
@@ -127,7 +127,7 @@ u64 run_campaign(fault::FaultPlan& plan, std::size_t budget, bool require_ok,
     bool any_quarantined = false;
     for (lac::Slot slot : lac::kAllSlots)
       any_quarantined |= svc.quarantine_state(slot) !=
-                         verify::QuarantineState::kHealthy;
+                         QuarantineState::kHealthy;
     EXPECT_TRUE(any_quarantined)
         << label << ": " << mismatches << " mismatches but no quarantine";
     EXPECT_FALSE(svc.divergences().empty()) << label;

@@ -20,16 +20,12 @@
 #include "fault/plan.h"
 #include "lac/backend.h"
 #include "lac/kem.h"
+#include "service/health.h"
 #include "service/service.h"
-#include "verify/quarantine.h"
 #include "verify/verifier.h"
 
 namespace lacrv::service {
 namespace {
-
-using verify::QuarantinePolicy;
-using verify::QuarantineState;
-using verify::SlotQuarantine;
 
 hash::Seed seed_from(u8 tag) {
   hash::Seed s{};
@@ -38,8 +34,8 @@ hash::Seed seed_from(u8 tag) {
   return s;
 }
 
-QuarantinePolicy small_policy() {
-  QuarantinePolicy p;
+HealthPolicy small_policy() {
+  HealthPolicy p;
   p.rejoin_probes = 2;
   p.probation_full_clean = 2;
   p.probation_ramp_clean = 2;
@@ -53,19 +49,21 @@ struct Transition {
 };
 
 TEST(Quarantine, MismatchTripsFromHealthyAndBlocksHardware) {
-  SlotQuarantine q;
+  SlotHealth q;
   std::vector<Transition> log;
   q.configure("mul_ter", small_policy(),
-              [&](const char*, QuarantineState from, QuarantineState to,
-                  const std::string&) { log.push_back({from, to}); });
+              [&](const char*, HealthState from, HealthState to,
+                  const std::string&) {
+                log.push_back({from.quarantine, to.quarantine});
+              });
 
   EXPECT_TRUE(q.allow());
-  EXPECT_EQ(q.state(), QuarantineState::kHealthy);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kHealthy);
   EXPECT_EQ(q.sample_override_per_mille(), 0u);
 
   q.record_mismatch("served != golden");
   EXPECT_FALSE(q.allow());
-  EXPECT_EQ(q.state(), QuarantineState::kQuarantined);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kQuarantined);
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].from, QuarantineState::kHealthy);
   EXPECT_EQ(log[0].to, QuarantineState::kQuarantined);
@@ -76,34 +74,36 @@ TEST(Quarantine, MismatchTripsFromHealthyAndBlocksHardware) {
 }
 
 TEST(Quarantine, ProbeWalkThenCleanTrafficRejoins) {
-  SlotQuarantine q;
+  SlotHealth q;
   std::vector<Transition> log;
   q.configure("chien", small_policy(),
-              [&](const char*, QuarantineState from, QuarantineState to,
-                  const std::string&) { log.push_back({from, to}); });
+              [&](const char*, HealthState from, HealthState to,
+                  const std::string&) {
+                log.push_back({from.quarantine, to.quarantine});
+              });
   q.record_mismatch("diverged");
 
   // A failing probe resets the consecutive-pass walk.
   q.probe_passed();
   q.probe_failed("kat failed");
   q.probe_passed();
-  EXPECT_EQ(q.state(), QuarantineState::kQuarantined);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kQuarantined);
   q.probe_passed();
-  EXPECT_EQ(q.state(), QuarantineState::kProbationFull);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kProbationFull);
   EXPECT_TRUE(q.allow());  // hardware serves again, under full sampling
   EXPECT_EQ(q.sample_override_per_mille(), 1000u);
 
   // Clean verified traffic steps probation-full -> probation-ramp.
   q.record_clean_verify();
-  EXPECT_EQ(q.state(), QuarantineState::kProbationFull);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kProbationFull);
   q.record_clean_verify();
-  EXPECT_EQ(q.state(), QuarantineState::kProbationRamp);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kProbationRamp);
   EXPECT_EQ(q.sample_override_per_mille(), 500u);
 
   // And probation-ramp -> healthy.
   q.record_clean_verify();
   q.record_clean_verify();
-  EXPECT_EQ(q.state(), QuarantineState::kHealthy);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kHealthy);
   EXPECT_EQ(q.sample_override_per_mille(), 0u);
 
   ASSERT_EQ(log.size(), 4u);
@@ -111,29 +111,29 @@ TEST(Quarantine, ProbeWalkThenCleanTrafficRejoins) {
 }
 
 TEST(Quarantine, MismatchDuringProbationRestartsTheWalk) {
-  SlotQuarantine q;
+  SlotHealth q;
   q.configure("sha256", small_policy(), nullptr);
   q.record_mismatch("diverged");
   q.probe_passed();
   q.probe_passed();
-  ASSERT_EQ(q.state(), QuarantineState::kProbationFull);
+  ASSERT_EQ(q.state().quarantine, QuarantineState::kProbationFull);
 
   q.record_mismatch("diverged again under probation");
-  EXPECT_EQ(q.state(), QuarantineState::kQuarantined);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kQuarantined);
   EXPECT_FALSE(q.allow());
 
   // The probe walk starts over — one pass is no longer enough.
   q.probe_passed();
-  EXPECT_EQ(q.state(), QuarantineState::kQuarantined);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kQuarantined);
 }
 
 TEST(Quarantine, CleanVerifyAndProbesAreNoOpsOutsideTheirStates) {
-  SlotQuarantine q;
+  SlotHealth q;
   q.configure("modq", small_policy(), nullptr);
   q.record_clean_verify();
   q.probe_passed();
   q.probe_failed("noise");
-  EXPECT_EQ(q.state(), QuarantineState::kHealthy);
+  EXPECT_EQ(q.state().quarantine, QuarantineState::kHealthy);
   EXPECT_TRUE(q.allow());
 }
 
@@ -333,6 +333,7 @@ TEST(VerifyService, EvasiveStormIsCaughtCorrectedAndQuarantined) {
   EXPECT_EQ(svc.verifier().integrity_responses().load(), 0u);
   EXPECT_EQ(svc.quarantine_state(lac::Slot::kMulTer),
             QuarantineState::kQuarantined);
+  EXPECT_GE(svc.counters().quarantine_trips, 1u);
 
   const auto records = svc.divergences();
   ASSERT_FALSE(records.empty());
